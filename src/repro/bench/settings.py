@@ -11,9 +11,9 @@ Environment knobs (all optional):
 * ``REPRO_BENCH_C`` — total coverage constraint C (default 16);
 * ``REPRO_BENCH_DOMAIN`` — per-variable active-domain cap (default 5);
 * ``REPRO_BENCH_EPSILON`` — default ε (default 0.01, as in the paper);
-* ``REPRO_BENCH_ENGINE`` — matcher engine: ``set`` (default), ``bitset``
-  (runs every experiment through the bitset matching engine) or
-  ``columnar`` (bitset pipeline over the columnar graph core);
+* ``REPRO_BENCH_ENGINE`` — matcher engine: ``columnar`` (default; the
+  bitset pipeline over the columnar graph core), ``bitset`` or ``set``
+  (the reference engine);
 * ``REPRO_BENCH_DEADLINE`` — per-run wall-clock budget in seconds
   (unset = unbounded; exhausted runs return truncated partial fronts);
 * ``REPRO_BENCH_MAX_INSTANCES`` — per-run verified-instance budget;
@@ -55,7 +55,7 @@ class BenchSettings:
     coverage_total: int
     max_domain_values: int
     epsilon: float
-    matcher_engine: str = "set"
+    matcher_engine: str = "columnar"
     deadline_seconds: Optional[float] = None
     max_instances: Optional[int] = None
     max_backtracks: Optional[int] = None
@@ -98,7 +98,7 @@ def bench_settings() -> BenchSettings:
         coverage_total=_env_int("REPRO_BENCH_C", 16),
         max_domain_values=_env_int("REPRO_BENCH_DOMAIN", 5),
         epsilon=_env_float("REPRO_BENCH_EPSILON", 0.01),
-        matcher_engine=os.environ.get("REPRO_BENCH_ENGINE", "set"),
+        matcher_engine=os.environ.get("REPRO_BENCH_ENGINE", "columnar"),
         deadline_seconds=_env_opt_float("REPRO_BENCH_DEADLINE"),
         max_instances=_env_opt_int("REPRO_BENCH_MAX_INSTANCES"),
         max_backtracks=_env_opt_int("REPRO_BENCH_MAX_BACKTRACKS"),

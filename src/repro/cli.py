@@ -101,9 +101,10 @@ def build_parser() -> argparse.ArgumentParser:
                           "rules, overlap allowed; see docs/fairness.md) "
                           "replacing the dataset's default groups")
     generate.add_argument("--domain-cap", type=int, default=5)
-    generate.add_argument("--engine", choices=("set", "bitset", "columnar"), default="set",
+    generate.add_argument("--engine", choices=("set", "bitset", "columnar"), default="columnar",
                           help="matching engine verifying instances "
-                          "(bitset = mask pools + literal-pool caching)")
+                          "(columnar = vectorized arc consistency over CSR "
+                          "arrays; set = the reference engine)")
     generate.add_argument("--delta-scoring", action="store_true",
                           help="maintain δ/f by answer-set deltas along "
                           "lattice edges (same values, less work)")
@@ -123,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     online.add_argument("--epsilon", type=float, default=0.05)
     online.add_argument("--scale", type=float, default=0.15)
     online.add_argument("--coverage", type=int, default=16)
-    online.add_argument("--engine", choices=("set", "bitset", "columnar"), default="set",
+    online.add_argument("--engine", choices=("set", "bitset", "columnar"), default="columnar",
                         help="matching engine verifying instances")
     online.add_argument("--delta-scoring", action="store_true",
                         help="maintain δ/f by answer-set deltas (same "
@@ -148,9 +149,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSON group-system spec replacing the dataset's "
                        "default groups for the whole batch (requests may "
                        "also carry per-request 'group_system' specs)")
-    batch.add_argument("--engine", choices=("set", "bitset", "columnar"), default="bitset",
-                       help="default matching engine (bitset exercises the "
-                       "workload literal-pool cache tier)")
+    batch.add_argument("--engine", choices=("set", "bitset", "columnar"), default="columnar",
+                       help="default matching engine (columnar and bitset "
+                       "use the workload literal-pool cache tier)")
     batch.add_argument("--domain-cap", type=int, default=5)
     batch.add_argument("--no-warm", action="store_true",
                        help="skip pre-building the per-label index state")
@@ -181,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="JSON group-system spec replacing the dataset's "
                         "default groups (requests may also carry per-request "
                         "'group_system' specs)")
-    daemon.add_argument("--engine", choices=("set", "bitset", "columnar"), default="bitset",
+    daemon.add_argument("--engine", choices=("set", "bitset", "columnar"), default="columnar",
                         help="default matching engine")
     daemon.add_argument("--domain-cap", type=int, default=5)
     daemon.add_argument("--no-warm", action="store_true",
@@ -221,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "default groups for the streamed archive")
     stream.add_argument("--epsilon", type=float, default=0.05)
     stream.add_argument("--domain-cap", type=int, default=5)
-    stream.add_argument("--engine", choices=("set", "bitset", "columnar"), default="set",
+    stream.add_argument("--engine", choices=("set", "bitset", "columnar"), default="columnar",
                         help="matching engine verifying instances")
     stream.add_argument("--delta-scoring", action="store_true",
                         help="maintain δ/f by answer-set deltas (same "

@@ -49,14 +49,15 @@ class GenerationConfig:
         use_template_refinement: Enable Spawn's d-hop domain restriction
             and edge-variable fixing (Section IV optimization).
         injective: Use isomorphism-style (injective) match semantics.
-        matcher_engine: ``"set"`` (default), ``"bitset"`` or
-            ``"columnar"`` — which matching pipeline verifies instances.
+        matcher_engine: ``"columnar"`` (default), ``"bitset"`` or
+            ``"set"`` — which matching pipeline verifies instances.
             All return identical answers; the bitset engine trades
             per-instance set algebra for integer bitmask operations plus
             a run-level literal-pool cache, and the columnar engine
             additionally enables the graph's columnar core (CSR
             adjacency, compiled column-mask predicates, vectorized
-            propagation), which pays off on large graphs.
+            propagation). ``"set"`` is the reference implementation the
+            engine-differential tests compare against.
         verifier_max_entries: Optional LRU bound on the verification memo
             table (None = unbounded; set for long online streams).
         metrics: Optional shared :class:`~repro.obs.registry.MetricsRegistry`
@@ -92,7 +93,9 @@ class GenerationConfig:
             maintained by answer-set deltas along lattice edges plus an
             answer-fingerprint score cache. Values are bitwise-identical
             to from-scratch scoring; this knob only changes *how* they
-            are computed. Off by default.
+            are computed. Off by default: on the end-to-end benchmark it
+            left paper-style generation flat and its state cache raised
+            streaming peak memory.
         scoring_delta_max_fraction: Delta-path acceptance threshold — a
             child whose answer differs from its parent's by more than
             this fraction of the parent answer size is rebuilt from
@@ -113,7 +116,7 @@ class GenerationConfig:
     use_incremental: bool = True
     use_template_refinement: bool = True
     injective: bool = False
-    matcher_engine: str = "set"
+    matcher_engine: str = "columnar"
     verifier_max_entries: Optional[int] = None
     metrics: Optional[MetricsRegistry] = None
     budget: Optional[Budget] = None

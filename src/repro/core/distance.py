@@ -188,6 +188,17 @@ class GowerTupleDistance(_TupleDistanceBase):
     O(n log n) diversity path possible.
     """
 
+    def __init__(
+        self,
+        graph: AttributedGraph,
+        label: str,
+        attributes: Optional[Sequence[str]] = None,
+    ) -> None:
+        super().__init__(graph, label, attributes)
+        # Per label code of the graph's columnar store: this kernel's
+        # (attribute, column) pairs, resolved on first use.
+        self._columns_of: Dict[int, Tuple[Tuple[str, Any], ...]] = {}
+
     def _compute(self, v: int, w: int) -> float:
         if not self.attributes:
             return 0.0
@@ -225,12 +236,20 @@ class GowerTupleDistance(_TupleDistanceBase):
         strings; numeric branches read the same raw values the dict path
         reads, so the result is bitwise identical.
         """
-        label = store.label_names[store.label_codes[gpos_v]]
+        label_code = store.label_codes[gpos_v]
+        columns = self._columns_of.get(label_code)
+        if columns is None:
+            # Columns are never replaced (in-place deltas patch their
+            # cells), so one lookup per label serves every later pair.
+            label = store.label_names[label_code]
+            columns = self._columns_of[label_code] = tuple(
+                (attribute, store.column(label, attribute))
+                for attribute in self.attributes
+            )
         pv = store.label_local[gpos_v]
         pw = store.label_local[gpos_w]
         total = 0.0
-        for attribute in self.attributes:
-            column = store.column(label, attribute)
+        for attribute, column in columns:
             a = column.values[pv]
             b = column.values[pw]
             if a is None and b is None:

@@ -32,11 +32,14 @@ Everything degrades gracefully without numpy (``HAVE_NUMPY``): arrays
 become plain lists and the vectorized kernels fall back to Python loops
 or to the callers' original paths — numpy is an accelerator, never a
 dependency. The store is observable through ``graph.columnar.*``
-counters on an explicitly attached registry (default runs see none).
+counters on an attached registry (the columnar engine attaches its run
+registry; runs on the set or bitset engines see none).
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from bisect import bisect_left, bisect_right
 from typing import (
     Any,
@@ -117,10 +120,11 @@ class CSRAdjacency:
     ``offsets``/``targets`` index *global* node positions; rows are sorted
     ascending so slices are deterministic. In-place graph deltas never
     rebuild the arrays — a patched row is recorded in ``overrides``
-    (global position → replacement row) and shadows the CSR slice.
+    (global position → replacement row, set through :meth:`set_row`) and
+    shadows the CSR slice.
     """
 
-    __slots__ = ("offsets", "targets", "overrides")
+    __slots__ = ("offsets", "targets", "overrides", "_patched")
 
     def __init__(self, offsets: Sequence[int], targets: Sequence[int]) -> None:
         if HAVE_NUMPY:
@@ -130,6 +134,36 @@ class CSRAdjacency:
             self.offsets = list(offsets)
             self.targets = list(targets)
         self.overrides: Dict[int, Any] = {}
+        self._patched = None
+
+    def set_row(self, gpos: int, row) -> None:
+        """Shadow one row with its repaired neighbor list."""
+        self.overrides[gpos] = row
+        self._patched = None
+
+    def patched_rows(self):
+        """The overridden rows as one small CSR (numpy only).
+
+        Returns ``(positions, offsets, targets)``: row ``i`` of the block
+        is the override of global position ``positions[i]``. Cached until
+        the next :meth:`set_row`, so kernels handle any number of patched
+        rows with a few array operations instead of one per row — a long
+        streaming session accumulates hundreds of them.
+        """
+        if self._patched is None:
+            positions = _np.fromiter(
+                self.overrides, dtype=_np.int64, count=len(self.overrides)
+            )
+            rows = list(self.overrides.values())
+            offsets = _np.zeros(len(rows) + 1, dtype=_np.int64)
+            _np.cumsum([len(row) for row in rows], out=offsets[1:])
+            targets = (
+                _np.concatenate(rows).astype(_np.int64, copy=False)
+                if rows
+                else _np.empty(0, dtype=_np.int64)
+            )
+            self._patched = (positions, offsets, targets)
+        return self._patched
 
     def row(self, gpos: int):
         """The (possibly overridden) neighbor row of one global position."""
@@ -338,10 +372,15 @@ class ColumnarStore:
     hooks, so a store stays valid for the graph's whole lifetime. The
     node set is fixed at construction (in-place deltas never add or
     remove nodes).
+
+    The graph caches its store, so the store's back-link is weak: a
+    strong one would make the pair a reference cycle that only the
+    cyclic garbage collector frees, and code that builds and drops
+    graph copies would pile up garbage until it runs.
     """
 
     def __init__(self, graph: AttributedGraph) -> None:
-        self.graph = graph
+        self._graph_ref = weakref.ref(graph)
         self.node_order: List[int] = sorted(graph._nodes)
         self.node_pos: Dict[int, int] = {
             node_id: i for i, node_id in enumerate(self.node_order)
@@ -382,7 +421,18 @@ class ColumnarStore:
         self._csr: Dict[Tuple[str, bool], CSRAdjacency] = {}
         self._und: Optional[CSRAdjacency] = None
         self._columns: Dict[Tuple[str, str], AttributeColumn] = {}
-        self._metrics = None
+        # The attached registry, per thread: the serving daemon's worker
+        # threads share one graph, hence one store, but each writes its
+        # counters only to its own worker's registry.
+        self._local = threading.local()
+
+    @property
+    def graph(self) -> AttributedGraph:
+        """The graph this store shadows (it must still be alive)."""
+        graph = self._graph_ref()
+        if graph is None:
+            raise ReferenceError("the columnar store's graph has been freed")
+        return graph
 
     # -- Observability --------------------------------------------------- #
 
@@ -392,8 +442,9 @@ class ColumnarStore:
         Counters fire at build/repair time only — never on per-literal or
         per-row hot paths shared with baseline-pinned engines — so
         attaching a registry cannot perturb pinned ``matcher.*`` counts.
+        The registry is attached for the calling thread only.
         """
-        self._metrics = metrics
+        self._local.metrics = metrics
         for name in (
             "graph.columnar.builds",
             "graph.columnar.csr_builds",
@@ -410,8 +461,9 @@ class ColumnarStore:
             builds.inc()
 
     def _count(self, name: str, value: int = 1) -> None:
-        if self._metrics is not None:
-            self._metrics.inc(name, value)
+        metrics = getattr(self._local, "metrics", None)
+        if metrics is not None:
+            metrics.inc(name, value)
 
     # -- CSR adjacency ---------------------------------------------------- #
 
@@ -540,8 +592,12 @@ class ColumnarStore:
             row_counts = cumulative[csr.offsets[1:]] - cumulative[csr.offsets[:-1]]
         else:
             row_counts = _np.zeros(len(self.node_order), dtype=_np.int64)
-        for gpos, row in csr.overrides.items():
-            row_counts[gpos] = int(member[row].any()) if len(row) else 0
+        if csr.overrides:
+            positions, offsets, targets = csr.patched_rows()
+            patched = _np.concatenate(
+                ([0], _np.cumsum(member[targets], dtype=_np.int64))
+            )
+            row_counts[positions] = patched[offsets[1:]] - patched[offsets[:-1]]
         return mask_from_bits(row_counts[mine_global] > 0)
 
     # -- d-hop BFS --------------------------------------------------------- #
@@ -686,12 +742,13 @@ class ColumnarStore:
             anchor = source if outgoing else target
             adjacency = self.graph._out if outgoing else self.graph._in
             neighbors = adjacency.get(anchor, {}).get(label, ())
-            csr.overrides[self.node_pos[anchor]] = self._row_from_ids(neighbors)
+            csr.set_row(self.node_pos[anchor], self._row_from_ids(neighbors))
             patched = True
         if self._und is not None:
             for node_id in (source, target):
-                self._und.overrides[self.node_pos[node_id]] = self._row_from_ids(
-                    self.graph.neighbors(node_id)
+                self._und.set_row(
+                    self.node_pos[node_id],
+                    self._row_from_ids(self.graph.neighbors(node_id)),
                 )
             patched = True
         if patched:

@@ -284,14 +284,12 @@ class GraphIndexes:
     run.
     """
 
-    def __init__(self, graph: AttributedGraph, columnar: bool = False) -> None:
+    def __init__(self, graph: AttributedGraph) -> None:
         self.graph = graph
         self.labels = LabelIndex(graph)
         self.attributes = AttributeIndex(graph)
         self.bitsets = BitsetIndex(graph)
         self.columnar: Optional["ColumnarStore"] = None
-        if columnar:
-            self.enable_columnar()
 
     def enable_columnar(self, metrics=None) -> "ColumnarStore":
         """Switch this bundle onto the graph's columnar core.

@@ -13,13 +13,16 @@ seeds a child instance's candidates with its verified parent's, valid by
 Lemma 2 (refinement shrinks match sets).
 
 Three interchangeable engines implement the pipeline: the original
-set-based one (default), the bitset engine (:mod:`repro.matching.bitset`),
-which represents pools as integer bitmasks and caches literal pools across
-a whole run, and the columnar engine
+set-based one (the reference; a bare ``SubgraphMatcher`` still defaults
+to it), the bitset engine (:mod:`repro.matching.bitset`), which
+represents pools as integer bitmasks and caches literal pools across a
+whole run, and the columnar engine
 (:mod:`repro.matching.columnar_engine`), which additionally resolves
 literals through compiled column masks and runs propagation as vectorized
-CSR support sweeps — select with ``SubgraphMatcher(..., engine=...)`` or
-``GenerationConfig.matcher_engine``.
+CSR support sweeps. The columnar engine is the default of
+``GenerationConfig.matcher_engine`` and so of every generator, session
+and CLI command; select another with ``SubgraphMatcher(..., engine=...)``
+or ``GenerationConfig.matcher_engine``.
 """
 
 from repro.matching.candidates import CandidateMap, initial_candidates, propagate

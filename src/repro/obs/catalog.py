@@ -194,6 +194,7 @@ _HISTOGRAMS: Tuple[str, ...] = (
     "matcher.output_pool_size",
     "service.daemon.queue_wait_seconds",
     "service.daemon.request_seconds",
+    "service.daemon.worker_wait_seconds",
     "service.request_seconds",
     "span.*",
     "streaming.update_seconds",

@@ -47,14 +47,11 @@ class GraphContext:
             cache (None = unbounded).
         warm: Pre-build the per-label index state eagerly
             (:meth:`GraphIndexes.warm`) so the first request served is
-            not a cold start.
-        columnar: Enable the graph's columnar core
-            (:class:`~repro.graph.columnar.ColumnarStore`) on the shared
-            indexes at build time — CSR adjacency and compiled literal
-            masks are then shared by every request, and with ``warm=True``
-            the CSRs pre-build too. Results are identical either way;
-            requests using ``matcher_engine="columnar"`` enable it on
-            demand regardless.
+            not a cold start. The graph's columnar core
+            (:class:`~repro.graph.columnar.ColumnarStore`) is enabled on
+            the shared indexes by the first request that runs the
+            (default) columnar engine; a later :meth:`warm` pre-builds
+            its CSRs too.
 
     Example:
         >>> context = GraphContext(graph)                   # doctest: +SKIP
@@ -69,12 +66,10 @@ class GraphContext:
         metrics: Optional[MetricsRegistry] = None,
         workload_pool_max_entries: Optional[int] = 4096,
         warm: bool = False,
-        columnar: bool = False,
     ) -> None:
         self.metrics = metrics or MetricsRegistry()
         self._graph = graph
         self._pool_bound = workload_pool_max_entries
-        self._columnar = columnar
         self._generation = 0
         self._revision = 0
         self.metrics.counter("service.context.invalidations")
@@ -84,8 +79,6 @@ class GraphContext:
 
     def _build(self, warm: bool) -> None:
         self._indexes = GraphIndexes(self._graph)
-        if self._columnar:
-            self._indexes.enable_columnar(metrics=self.metrics)
         self._pools = WorkloadLiteralPools(
             metrics=self.metrics, max_entries=self._pool_bound
         )

@@ -222,9 +222,12 @@ class _Entry:
         "outcome",
         "attempts",
         "future",
+        "tasks",
     )
 
-    def __init__(self, seq: int, request: GenerationRequest) -> None:
+    def __init__(
+        self, seq: int, request: GenerationRequest, tasks: set
+    ) -> None:
         self.seq = seq
         self.request = request
         self.signature = request.canonical_signature()
@@ -232,6 +235,9 @@ class _Entry:
         self.outcome: Optional[RequestOutcome] = None
         self.attempts = 0
         self.future: Optional[asyncio.Future] = None
+        # The tasks started for the serve call that submitted this entry;
+        # that call awaits exactly these before it returns.
+        self.tasks = tasks
 
 
 class ServingDaemon:
@@ -257,8 +263,8 @@ class ServingDaemon:
         attempt_timeout: Optional per-attempt wall-clock bound; an
             attempt exceeding it is abandoned as a straggler and the
             request retried on another worker.
-        warm / columnar / workload_pool_max_entries: Forwarded to every
-            worker context.
+        warm / workload_pool_max_entries: Forwarded to every worker
+            context.
         faults: Optional seeded :class:`FaultInjector`; specs are keyed
             by submission sequence number (chaos harness hook).
         metrics: The daemon registry (``service.daemon.*`` /
@@ -271,13 +277,12 @@ class ServingDaemon:
         groups: GroupSystem,
         *,
         workers: int = 2,
-        engine: str = "set",
+        engine: str = "columnar",
         defaults: Optional[Dict[str, object]] = None,
         queue_depth: int = 64,
         max_retries: int = 2,
         attempt_timeout: Optional[float] = None,
         warm: bool = True,
-        columnar: bool = False,
         workload_pool_max_entries: Optional[int] = 4096,
         faults: Optional[FaultInjector] = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -309,7 +314,6 @@ class ServingDaemon:
         self.faults = faults
         self.default_template = default_template
         self._warm = warm
-        self._columnar = columnar
         self._pool_bound = workload_pool_max_entries
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.admission = AdmissionController(
@@ -325,7 +329,6 @@ class ServingDaemon:
         self._entries: Dict[int, _Entry] = {}
         self._loop_token: Optional[int] = None
         self._free: Optional[asyncio.Queue] = None
-        self._tasks: set = set()
         for name in (
             "service.daemon.requests",
             "service.daemon.completed",
@@ -353,7 +356,6 @@ class ServingDaemon:
             metrics=MetricsRegistry(),
             workload_pool_max_entries=self._pool_bound,
             warm=self._warm,
-            columnar=self._columnar,
         )
 
     @property
@@ -369,19 +371,6 @@ class ServingDaemon:
         self._free = asyncio.Queue()
         for index in range(len(self._contexts)):
             self._free.put_nowait(index)
-        self._tasks = set()
-
-    def absorb_worker_metrics(self) -> None:
-        """Fold every worker's run counters into the daemon registry.
-
-        Called after a drained batch (single-threaded), so one
-        ``--metrics`` snapshot shows admission, daemon and generation
-        work side by side. Worker registries reset afterwards to keep
-        the fold idempotent.
-        """
-        for context in self._contexts:
-            self.metrics.absorb(context.metrics)
-            context.metrics.reset()
 
     # ------------------------------------------------------------------ #
     # One-shot serving
@@ -400,6 +389,7 @@ class ServingDaemon:
         """:meth:`serve` for callers already inside an event loop."""
         self._ensure_loop_state()
         ledger = DedupLedger()
+        tasks: set = set()
         batch: List[Tuple[int, Outcome]] = []
         entries: List[_Entry] = []
         immediate: List[Tuple[int, Outcome]] = []
@@ -410,7 +400,7 @@ class ServingDaemon:
                 continue
             seq = next(self._seq)
             self.metrics.inc("service.daemon.requests")
-            entry = _Entry(seq, item)
+            entry = _Entry(seq, item, tasks)
             entry.future = asyncio.get_running_loop().create_future()
             self._entries[seq] = entry
             shed = self.admission.offer(seq, item)
@@ -420,15 +410,16 @@ class ServingDaemon:
         self._dispatch_admitted(ledger)
         for entry in entries:
             await entry.future
-        while self._tasks:
-            await asyncio.gather(*list(self._tasks))
+        # Only this call's tasks: abandoned stragglers of its own requests
+        # may still be running. Overlapping calls wait for their own.
+        while tasks:
+            await asyncio.gather(*list(tasks))
         assert not ledger.orphans, f"orphaned queue entries: {ledger.orphans}"
         for entry in entries:
             batch.append((entry.seq, entry.outcome))
             del self._entries[entry.seq]
         batch.extend(immediate)
         batch.sort(key=lambda pair: pair[0])
-        self.absorb_worker_metrics()
         return [outcome for _, outcome in batch]
 
     def _parse(self, submissions: Iterable[Submission]) -> Iterable[
@@ -493,13 +484,14 @@ class ServingDaemon:
         if isinstance(fate, RequestOutcome):
             self._publish(entry, self._dedup_outcome(entry, fate))
         elif fate == DedupLedger.EXECUTE:
-            self._spawn(self._run_attempts(entry, ledger))
+            self._spawn(self._run_attempts(entry, ledger), entry)
         # WAIT: parked; completion of the in-flight twin resumes us.
 
-    def _spawn(self, coro) -> None:
+    def _spawn(self, coro, entry: _Entry) -> None:
+        """Start ``coro`` as a task owned by ``entry``'s serve call."""
         task = asyncio.get_running_loop().create_task(coro)
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
+        entry.tasks.add(task)
+        task.add_done_callback(entry.tasks.discard)
 
     def _dedup_outcome(
         self, entry: _Entry, earlier: RequestOutcome
@@ -526,7 +518,12 @@ class ServingDaemon:
                 return
             attempt = entry.attempts
             entry.attempts += 1
+            wait_start = self.admission.clock()
             worker = await self._free.get()
+            self.metrics.observe(
+                "service.daemon.worker_wait_seconds",
+                self.admission.clock() - wait_start,
+            )
             future = loop.run_in_executor(
                 self._executor, self._attempt_sync, worker, entry, attempt
             )
@@ -544,7 +541,7 @@ class ServingDaemon:
                 # Straggler: the thread keeps running (its late result is
                 # discarded at publication); retry on another worker.
                 self.metrics.inc("service.daemon.stragglers_abandoned")
-                self._spawn(self._ignore_late(future, entry, ledger))
+                self._spawn(self._ignore_late(future, entry, ledger), entry)
                 error = "attempt timed out"
             except WorkerCrashed as exc:
                 self.metrics.inc("service.daemon.worker_crashes")
@@ -577,8 +574,14 @@ class ServingDaemon:
     def _release_worker(self, future: asyncio.Future, worker: int) -> None:
         # Runs on the event loop once the executor thread is truly done
         # (shield keeps the future alive past wait_for timeouts), so a
-        # slot can never be handed out while its thread still runs.
+        # slot can never be handed out while its thread still runs. That
+        # also makes this the one safe point to fold the attempt's run
+        # counters out of the worker registry: no thread writes to it
+        # until the slot is handed out again.
         del future
+        context = self._contexts[worker]
+        self.metrics.absorb(context.metrics)
+        context.metrics.reset()
         if self._free is not None:
             self._free.put_nowait(worker)
 
@@ -625,7 +628,7 @@ class ServingDaemon:
             context.graph,
             self.groups,
             cache=self._systems,
-            metrics=self.metrics,
+            metrics=context.metrics,
         )
         config = context.bind(
             GenerationConfig(
@@ -665,7 +668,8 @@ class ServingDaemon:
             peer = self._entries[seq]
             self._publish(peer, self._dedup_outcome(peer, outcome))
         if promote is not None:
-            self._spawn(self._run_attempts(self._entries[promote], ledger))
+            promoted = self._entries[promote]
+            self._spawn(self._run_attempts(promoted, ledger), promoted)
 
     def _publish(self, entry: _Entry, outcome: RequestOutcome) -> bool:
         """Record ``entry``'s single outcome; duplicates are discarded."""

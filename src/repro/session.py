@@ -15,7 +15,7 @@ selection/audit/explanation); this module wires the two common paths:
 * :class:`BatchSession` — one graph, many templates, served through the
   shared cache hierarchy (:mod:`repro.service`):
 
-    >>> batch = BatchSession(graph, groups, engine="bitset")  # doctest: +SKIP
+    >>> batch = BatchSession(graph, groups)  # doctest: +SKIP
     >>> outcomes = batch.run([batch.request(t, epsilon=0.1) for t in templates])
     ...                                                       # doctest: +SKIP
     >>> batch.literal_pool_hit_rate                           # doctest: +SKIP
@@ -164,8 +164,9 @@ class BatchSession:
     Args:
         graph: The data graph to serve.
         groups: Groups/constraints every request is generated under.
-        engine: Default matching engine for requests (``"set"`` /
-            ``"bitset"``; the literal-pool tiers only apply to bitset).
+        engine: Default matching engine for requests (``"columnar"``,
+            the default, ``"bitset"`` or ``"set"``; the literal-pool
+            tiers apply to every engine but ``"set"``).
         metrics: Registry for ``service.*`` counters (private if omitted).
         warm: Pre-build per-label index state at construction.
         workload_pool_max_entries: LRU bound of the workload literal-pool
@@ -178,7 +179,7 @@ class BatchSession:
         self,
         graph: AttributedGraph,
         groups: GroupSystem,
-        engine: str = "set",
+        engine: str = "columnar",
         metrics: Optional[MetricsRegistry] = None,
         warm: bool = True,
         workload_pool_max_entries: Optional[int] = 4096,
@@ -201,7 +202,7 @@ class BatchSession:
 
     @property
     def literal_pool_hit_rate(self) -> float:
-        """Lifetime workload literal-pool hit rate (bitset engine only)."""
+        """Lifetime workload literal-pool hit rate (bitset/columnar engines)."""
         return self.context.literal_pools.hit_rate
 
     def request(
@@ -266,7 +267,7 @@ class DaemonSession:
         engine: Default matching engine for requests.
         metrics: Registry for ``service.daemon.*`` / ``service.admission.*``
             counters (private if omitted).
-        queue_depth / max_retries / attempt_timeout / warm / columnar /
+        queue_depth / max_retries / attempt_timeout / warm /
             workload_pool_max_entries / faults: Forwarded to
             :class:`~repro.service.daemon.ServingDaemon`.
         **defaults: Further per-request config defaults, overridable per
@@ -278,13 +279,12 @@ class DaemonSession:
         graph: AttributedGraph,
         groups: GroupSystem,
         workers: int = 2,
-        engine: str = "set",
+        engine: str = "columnar",
         metrics: Optional[MetricsRegistry] = None,
         queue_depth: int = 64,
         max_retries: int = 2,
         attempt_timeout: Optional[float] = None,
         warm: bool = True,
-        columnar: bool = False,
         workload_pool_max_entries: Optional[int] = 4096,
         faults=None,
         **defaults,
@@ -299,7 +299,6 @@ class DaemonSession:
             max_retries=max_retries,
             attempt_timeout=attempt_timeout,
             warm=warm,
-            columnar=columnar,
             workload_pool_max_entries=workload_pool_max_entries,
             faults=faults,
             metrics=metrics,

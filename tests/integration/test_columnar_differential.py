@@ -67,17 +67,23 @@ def test_columnar_context_serves_identical_results(
     talent_graph, talent_template, talent_groups
 ):
     plain = GraphContext(talent_graph)
-    columnar = GraphContext(talent_graph, columnar=True, warm=True)
-    assert columnar.indexes.columnar is not None
+    columnar = GraphContext(talent_graph)
+    columnar.indexes.enable_columnar()
+    columnar.warm()
     # Warming pre-built every (edge label, direction) CSR plus undirected.
     expected = 2 * len(talent_graph.edge_labels())
     assert columnar.indexes.columnar.num_csrs == expected
-    for context in (plain, columnar):
+    for context, engine in ((plain, "set"), (columnar, "columnar")):
         config = context.configure(
-            talent_template, talent_groups, epsilon=0.25, max_domain_values=6
+            talent_template,
+            talent_groups,
+            epsilon=0.25,
+            max_domain_values=6,
+            matcher_engine=engine,
         )
         result = RfQGen(config).run()
         context.result = _fingerprint(result)
+    assert plain.indexes.columnar is None
     assert columnar.result == plain.result
 
 

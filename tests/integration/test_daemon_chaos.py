@@ -21,12 +21,16 @@ from __future__ import annotations
 
 import asyncio
 import json
+import sys
 import threading
+import time
+from dataclasses import replace
 
 import pytest
 
 from repro.cli import main
 from repro.datasets.lki import LKI_SCHEMA
+from repro.matching.delta import GraphDelta, apply_delta
 from repro.runtime.faults import FaultInjector, FaultKind, FaultSpec
 from repro.service.daemon import ServingDaemon, replay_unix
 from repro.service.requests import outcome_to_dict
@@ -34,6 +38,7 @@ from repro.session import BatchSession, DaemonSession
 from repro.workload import TemplateGenerator, TemplateSpec, requests_from_templates
 
 OPTIONS = {"max_domain_values": 4}
+TIMEOUT = 120  # seconds; bounds every awaited serve in the overlap tests
 
 
 def workload(bundle, k=4, clients=("alice", "bob")):
@@ -65,6 +70,11 @@ def by_id(outcomes):
     return table
 
 
+def fresh_copy(bundle):
+    """The bundle over a private copy of its graph (no cached store)."""
+    return replace(bundle, graph=apply_delta(bundle.graph, GraphDelta()))
+
+
 def make_daemon(bundle, **kwargs):
     kwargs.setdefault("workers", 2)
     kwargs.setdefault("engine", "set")
@@ -82,7 +92,7 @@ def serve(bundle, requests, **kwargs):
 
 
 class TestDifferential:
-    @pytest.mark.parametrize("engine", ["set", "bitset"])
+    @pytest.mark.parametrize("engine", ["set", "bitset", "columnar"])
     def test_daemon_identical_to_batch_session(self, small_lki_bundle, engine):
         bundle = small_lki_bundle
         requests = workload(bundle)
@@ -239,6 +249,92 @@ class TestChaos:
             assert outcome.result.stats.truncation_reason == "shed_queue_full"
             assert outcome.result.instances == []
         assert daemon.metrics.value("service.daemon.shed") == len(shed)
+
+
+class TestOverlappingCalls:
+    """Concurrent ``serve_async`` calls on one daemon (one per connection
+    on the socket front-end) must not wait for, or lose, each other's
+    work."""
+
+    def test_short_call_returns_before_long_one(self, small_lki_bundle):
+        bundle = small_lki_bundle
+        slow, quick = workload(bundle, k=2)[:2]
+        delay = 2.0
+        # Submission 0 (the first call's only request) sleeps in its attempt.
+        faults = FaultInjector(
+            [FaultSpec(kind=FaultKind.SLOW, batch_index=0, delay_seconds=delay)]
+        )
+        daemon = make_daemon(bundle, workers=2, faults=faults)
+
+        async def overlap():
+            long_call = asyncio.ensure_future(daemon.serve_async([slow]))
+            await asyncio.sleep(0)  # the long call submits first
+            start = time.perf_counter()
+            short = await daemon.serve_async([quick])
+            short_seconds = time.perf_counter() - start
+            long_running = not long_call.done()
+            return short, short_seconds, long_running, await long_call
+
+        try:
+            short, short_seconds, long_running, long = asyncio.run(
+                asyncio.wait_for(overlap(), TIMEOUT)
+            )
+        finally:
+            daemon.shutdown()
+        assert long_running
+        assert short_seconds < delay / 2
+        assert [o.request.request_id for o in short] == [quick.request_id]
+        assert [o.request.request_id for o in long] == [slow.request_id]
+        assert short[0].ok and long[0].ok
+
+    def test_overlapping_calls_count_like_one_batch(self, small_lki_bundle):
+        requests = workload(small_lki_bundle, k=6)
+        # One worker: which worker's literal pools serve a request cannot
+        # then differ between the runs, so every counter must agree.
+        # Each daemon serves a fresh copy of the graph, so each builds the
+        # graph's columnar store (and counts its builds) from scratch.
+        one_batch, outcomes = serve(
+            fresh_copy(small_lki_bundle), requests, workers=1, engine="columnar"
+        )
+        expected = one_batch.metrics.counters()
+        assert expected["service.daemon.completed"] == len(requests)
+        assert any(name.startswith("gen.") for name in expected)
+
+        async def overlap(daemon):
+            return await asyncio.gather(
+                *(daemon.serve_async([request]) for request in requests)
+            )
+
+        # Frequent thread switches let a worker thread run while the loop
+        # thread folds registries, which is where lost counts would show.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                daemon = make_daemon(
+                    fresh_copy(small_lki_bundle), workers=1, engine="columnar"
+                )
+                try:
+                    per_call = asyncio.run(
+                        asyncio.wait_for(overlap(daemon), TIMEOUT)
+                    )
+                finally:
+                    daemon.shutdown()
+                found = by_id([o for call in per_call for o in call])
+                assert found == by_id(outcomes)
+                assert daemon.metrics.counters() == expected
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_worker_wait_is_recorded(self, small_lki_bundle):
+        bundle = small_lki_bundle
+        requests = workload(bundle, k=2)
+        daemon, _ = serve(bundle, requests, workers=1)
+        waits = daemon.metrics.histogram("service.daemon.worker_wait_seconds")
+        assert waits.count == len(requests)
+        # One worker, three requests admitted at once: the later ones
+        # wait for it, and that wait is now visible.
+        assert waits.max > 0
 
 
 class TestWireFrontends:

@@ -34,6 +34,7 @@ from repro.service.daemon import ServingDaemon
 from repro.service.requests import GenerationRequest, outcome_to_dict
 from repro.session import BatchSession
 
+from tests.regression.engine_paths import pinned
 from tests.regression.test_streaming_counters import (
     build_graph,
     build_groups,
@@ -103,7 +104,7 @@ def check_baseline(path, counters, update_baselines):
     )
     baseline = load_baseline(path)
     report = compare_counters(
-        counters, baseline["counters"], baseline["tolerance"]
+        counters, pinned(baseline["counters"]), baseline["tolerance"]
     )
     assert report.ok, report.describe()
 

@@ -32,6 +32,8 @@ from repro.service.context import GraphContext
 from repro.streaming import StreamingSession
 from repro.workload import random_delta_stream
 
+from tests.regression.engine_paths import pinned
+
 BASELINE_DIR = Path(__file__).parent / "baselines"
 BASELINE = BASELINE_DIR / "streaming.json"
 
@@ -129,7 +131,7 @@ def test_streaming_counters_match_baseline(update_baselines):
     )
     baseline = load_baseline(BASELINE)
     report = compare_counters(
-        counters, baseline["counters"], baseline["tolerance"]
+        counters, pinned(baseline["counters"]), baseline["tolerance"]
     )
     assert report.ok, report.describe()
 

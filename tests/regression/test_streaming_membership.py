@@ -34,6 +34,8 @@ from repro.service.context import GraphContext
 from repro.streaming import StreamingSession, graph_signature
 from repro.workload import random_delta_stream
 
+from tests.regression.engine_paths import pinned
+
 BASELINE_DIR = Path(__file__).parent / "baselines"
 BASELINE = BASELINE_DIR / "streaming_membership.json"
 LEGACY_BASELINE = BASELINE_DIR / "streaming.json"
@@ -160,7 +162,7 @@ def test_membership_counters_match_baseline(update_baselines):
     )
     baseline = load_baseline(BASELINE)
     report = compare_counters(
-        counters, baseline["counters"], baseline["tolerance"]
+        counters, pinned(baseline["counters"]), baseline["tolerance"]
     )
     assert report.ok, report.describe()
 

@@ -7,6 +7,10 @@ in-place patches vs a freshly built store. The mixed-type attribute-table
 guard (typed sort keys) is covered at the bottom.
 """
 
+import gc
+import threading
+import weakref
+
 import pytest
 
 from repro.core.distance import (
@@ -93,6 +97,25 @@ class TestStoreLayout:
         assert indexes.enable_columnar() is first
         assert indexes.columnar is first
 
+    def test_graph_with_built_store_is_freed_by_refcounting(self):
+        # The graph caches its store; a strong back-link would make the
+        # pair a cycle that only the cyclic collector frees.
+        graph = sample_graph()
+        store = graph.columnar()
+        store.csr("knows", True)
+        store.column("person", "age").compiled()
+        alive = weakref.ref(graph)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del graph
+            assert alive() is None
+        finally:
+            if enabled:
+                gc.enable()
+        with pytest.raises(ReferenceError):
+            store.graph
+
     def test_unfrozen_graph_rejected(self):
         graph = AttributedGraph("unfrozen")
         graph.add_node(0, "a", {})
@@ -178,14 +201,16 @@ class TestCompiledPredicates:
                         assert store.literal_mask(label, literal) == expected
 
     def test_unknown_label_and_attribute(self):
-        store = store_of(sample_graph())
+        graph = sample_graph()  # the store links to its graph weakly
+        store = store_of(graph)
         assert store.literal_mask("ghost", Literal("age", Op.GE, 0)) == 0
         assert store.literal_mask("person", Literal("ghost", Op.GE, 0)) == 0
         assert store.column("ghost", "age") is None
 
     def test_numeric_cross_type_equality(self):
         # 30 and 30.0 are one sort key: EQ 30.0 must hit int-30 nodes.
-        store = store_of(sample_graph())
+        graph = sample_graph()  # the store links to its graph weakly
+        store = store_of(graph)
         column = store.column("person", "age").compiled()
         assert column.mask_for(Op.EQ, 30) == column.mask_for(Op.EQ, 30.0)
 
@@ -240,6 +265,24 @@ class TestInterning:
         for v in people:
             for w in people:
                 assert plain(v, w) == fast(v, w)
+
+    def test_gower_interned_path_follows_in_place_patches(self):
+        plain_graph = sample_graph()
+        col_graph = sample_graph()
+        GraphIndexes(col_graph).enable_columnar()
+        plain = GowerTupleDistance(plain_graph, "person")
+        fast = GowerTupleDistance(col_graph, "person")
+        people = sorted(plain_graph.nodes_with_label("person"))
+        for kernel in (plain, fast):
+            kernel(people[0], people[1])  # resolves ranges (and columns)
+        # Node 2 holds neither age extreme, so the normalizing spread holds.
+        delta = GraphDelta(set_attributes=((2, "city", "la"), (2, "age", 41)))
+        for graph, kernel in ((plain_graph, plain), (col_graph, fast)):
+            apply_delta_in_place(graph, delta)
+            kernel.invalidate_nodes([2])
+        for w in people:
+            assert fast(2, w) == plain(2, w)
+        assert fast(2, 4) == 0.0  # node 4: age 41, city "la"
 
 
 class TestAttributeStatsFromValues:
@@ -313,6 +356,32 @@ class TestInPlaceRepair:
                             op, constant
                         ) == expected.compiled().mask_for(op, constant)
 
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy-only kernel")
+    def test_support_masks_after_repeated_patches_equal_fresh_store(self):
+        graph = sample_graph()
+        store = store_of(graph)
+        bitset = BitsetIndex(graph)
+        deltas = (
+            self.delta(),
+            # Re-patches rows already overridden (after the patched-row
+            # block was used) and empties node 2's outgoing "knows" row.
+            GraphDelta(delete_edges=((7, 0, "knows"), (2, 4, "works"))),
+            GraphDelta(insert_edges=((0, 1, "knows"), (5, 3, "works"))),
+        )
+        for delta in deltas:
+            apply_delta_in_place(graph, delta)
+            fresh = ColumnarStore(graph)
+            for edge_label in graph.edge_labels():
+                for outgoing in (True, False):
+                    for mine in graph.node_labels():
+                        for other in graph.node_labels():
+                            full = bitset.full_mask(other)
+                            for other_mask in (full, full & 0b101, 1):
+                                args = (edge_label, outgoing, mine, other, other_mask)
+                                assert store.support_mask(*args) == fresh.support_mask(
+                                    *args
+                                )
+
     def test_und_csr_patched(self):
         graph = sample_graph()
         store = store_of(graph)
@@ -334,6 +403,26 @@ class TestInPlaceRepair:
         assert counters["graph.columnar.builds"] == 1
         assert counters["graph.columnar.csr_patches"] > 0
         assert counters["graph.columnar.column_patches"] > 0
+
+    def test_metrics_follow_the_attaching_thread(self):
+        # Daemon workers share one graph, hence one store; each thread's
+        # builds must land in the registry that thread attached.
+        graph = sample_graph()
+        store = graph.columnar()
+        mine, theirs = MetricsRegistry(), MetricsRegistry()
+        store.attach_metrics(mine)
+
+        def other_worker():
+            store.attach_metrics(theirs)
+            store.csr("works", True)
+
+        thread = threading.Thread(target=other_worker)
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        store.csr("knows", True)
+        assert mine.value("graph.columnar.csr_builds") == 1
+        assert theirs.value("graph.columnar.csr_builds") == 1
 
 
 class TestMaskHelpers:
